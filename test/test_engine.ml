@@ -117,6 +117,83 @@ let test_config_aliases () =
 (* 1 shard: bit-identical to the pre-shard session                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The durable half of the one-shard equivalence: a session and a
+   1-shard engine with the same config, each in its own root, must
+   answer churn, rebalance (fresh and deduplicated), a live solve and
+   stats byte for byte, and the engine's root must keep the flat
+   pre-shard layout through a close/recover round trip. *)
+let one_shard_durable_identical () =
+  let session_dir = temp_dir () and engine_dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf session_dir; rm_rf engine_dir)
+  @@ fun () ->
+  let config dir =
+    mk_config ~durability:(Session.durability ~fsync:Journal.Always dir) ()
+  in
+  let session = Session.create ~config:(config session_dir) (line_instance 12) in
+  let engine =
+    Engine.create ~config:(config engine_dir) (Engine.General (line_instance 12))
+  in
+  let same ctx via_session via_engine =
+    Alcotest.(check string) ctx (reply_to_string via_session)
+      (reply_to_string via_engine)
+  in
+  same "arrive 1"
+    (Session.arrive session ~req:"a1" ~id:1 ~rate:2 ~path:[ 4; 5; 6 ] ())
+    (Engine.arrive engine ~req:"a1" ~id:1 ~rate:2 ~path:[ 4; 5; 6 ] ());
+  same "arrive 2"
+    (Session.arrive session ~req:"a2" ~id:2 ~rate:3 ~path:[ 2; 3; 4; 5 ] ())
+    (Engine.arrive engine ~req:"a2" ~id:2 ~rate:3 ~path:[ 2; 3; 4; 5 ] ());
+  same "arrive 3"
+    (Session.arrive session ~req:"a3" ~id:3 ~rate:1 ~path:[ 8; 9; 10 ] ())
+    (Engine.arrive engine ~req:"a3" ~id:3 ~rate:1 ~path:[ 8; 9; 10 ] ());
+  same "depart"
+    (Session.depart session ~req:"d1" 1)
+    (Engine.depart engine ~req:"d1" 1);
+  same "rebalance"
+    (Session.rebalance session ~req:"rb1" ~budget:2 ())
+    (Engine.rebalance engine ~req:"rb1" ~budget:2 ());
+  same "rebalance retry (dedup)"
+    (Session.rebalance session ~req:"rb1" ~budget:2 ())
+    (Engine.rebalance engine ~req:"rb1" ~budget:2 ());
+  same "rebalance, default budget"
+    (Session.rebalance session ())
+    (Engine.rebalance engine ());
+  same "live solve"
+    (strip_timing (Session.solve session ~algo:"gtp" ~k:2 ~seed:5 ~target:P.Live))
+    (strip_timing (Engine.solve engine ~algo:"gtp" ~k:2 ~seed:5 ~target:P.Live));
+  (* Stats: the session's durability fields at top level, then health;
+     no sharded keys.  Only the root path differs between the two. *)
+  let without_dir fields =
+    List.map
+      (function
+        | "durability", Json.Obj d ->
+          ("durability", Json.Obj (List.remove_assoc "dir" d))
+        | kv -> kv)
+      fields
+  in
+  let engine_stats = Engine.stats_fields engine in
+  Alcotest.(check (list string)) "stats keys" [ "durability"; "health" ]
+    (List.map fst engine_stats);
+  Alcotest.(check string) "durability stats identical"
+    (Json.to_string (Json.Obj (without_dir (Session.durability_stats session))))
+    (Json.to_string
+       (Json.Obj (without_dir (List.remove_assoc "health" engine_stats))));
+  let expected = Json.to_string (Json.Obj (Session.churn_stats session)) in
+  Session.close session;
+  Engine.close engine;
+  let exists name = Sys.file_exists (Filename.concat engine_dir name) in
+  Alcotest.(check bool) "flat layout: no shard-0/" false (exists "shard-0");
+  Alcotest.(check bool) "no coordinator journal" false (exists "coord.wal");
+  (match Engine.recover (Session.durability engine_dir) with
+  | Error msg -> Alcotest.failf "flat recover: %s" msg
+  | Ok recovered ->
+    Alcotest.(check int) "recovered one shard" 1 (Engine.shard_count recovered);
+    Alcotest.(check string) "recovered churn stats identical" expected
+      (Json.to_string (Json.Obj (Engine.churn_stats recovered)));
+    Engine.close recovered);
+  Alcotest.(check bool) "still flat after recovery" false (exists "shard-0");
+  Alcotest.(check bool) "still no coordinator journal" false (exists "coord.wal")
+
 let test_one_shard_bit_identical () =
   let tree_inst = Sc.build_tree (Rng.create 4242) Sc.default_tree in
   let k = Sc.default_tree.Sc.k in
@@ -162,7 +239,8 @@ let test_one_shard_bit_identical () =
   Alcotest.(check string) "churn stats identical"
     (Json.to_string (Json.Obj (Session.churn_stats churn_session)))
     (Json.to_string (Json.Obj (Engine.churn_stats churn_engine)));
-  Engine.close churn_engine
+  Engine.close churn_engine;
+  one_shard_durable_identical ()
 
 (* ------------------------------------------------------------------ *)
 (* Sharded routing                                                     *)
