@@ -24,7 +24,7 @@ type coord = {
 type t = {
   shards : Shard.t array;  (* cells are swapped by supervised restarts *)
   router : Router.t;
-  coord : coord option;  (* durable and sharded only *)
+  coord : coord option;  (* durable with more than one shard only *)
   general : Tdmd.Instance.t;  (* canonical static instance *)
   sup : Supervisor.t;
   degraded_reads : bool;
@@ -42,7 +42,16 @@ let supervisor t = t.sup
 let retry_after_ms t = Supervisor.retry_after_ms t.sup
 let degraded_reads t = t.degraded_reads
 
-let shard_dir root i = Filename.concat root (Printf.sprintf "shard-%d" i)
+(* One shard runs the same code as many.  Three things differ there,
+   all so that a 1-shard engine keeps the pre-shard engine's disk layout
+   and answers: the lone shard lives directly in the durability root,
+   no coordinator journal exists (no op can span shards), and replies
+   and stats carry no sharding fields.  Each of them asks this
+   predicate. *)
+let flat shards = shards = 1
+
+let sharded_dir root i = Filename.concat root (Printf.sprintf "shard-%d" i)
+let shard_dir ~shards root i = if flat shards then root else sharded_dir root i
 let coord_file root = Filename.concat root "coord.wal"
 
 let ensure_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
@@ -61,19 +70,15 @@ let make_coord journal =
     replayed = 0;
   }
 
+(* The coordinator journal of a durable root, with the records it
+   holds; [None] at one shard. *)
+let open_coord ~shards ~faults root =
+  if flat shards then None
+  else Some (Journal.open_append ~faults ~fsync:Journal.Always (coord_file root))
+
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let shard_config ~(config : Session.Config.t) ~root i =
-  match config.Session.Config.durability with
-  | None -> config
-  | Some d ->
-    {
-      config with
-      Session.Config.durability =
-        Some { d with Session.dir = shard_dir root i };
-    }
 
 let build_session ~config source =
   match source with
@@ -154,57 +159,37 @@ let create ?supervisor ?degraded_reads ?(config = Session.Config.default)
     | None -> Partition.make general.Tdmd.Instance.graph ~shards
   in
   let faults = faults_of config in
-  if shards = 1 then begin
-    (* Single shard: the session lives directly in the durability root,
-       exactly as the pre-shard engine laid it out, so existing
-       directories keep recovering and every answer stays bit-identical. *)
-    let session = build_session ~config source in
-    let shard_cfg = Option.map (fun d _ -> d) (durability_of config) in
-    finish ?supervisor ?degraded_reads
-      ~dedup_cap:config.Session.Config.dedup_cap ~shard_cfg ~faults
-      ~shards:[| Shard.create ~faults ~id:0 session |]
-      ~router:(Router.create partition) ~coord:None general
-  end
-  else begin
-    let root =
-      match durability_of config with
-      | None -> None
-      | Some d ->
-        ensure_dir d.Session.dir;
-        Some d.Session.dir
-    in
-    let shard_arr =
-      Array.init shards (fun i ->
-          let config =
-            match root with
-            | None -> config
-            | Some root -> shard_config ~config ~root i
-          in
-          Shard.create ~faults ~id:i (build_session ~config source))
-    in
-    let coord =
-      match root with
-      | None -> None
-      | Some root ->
-        let journal, ops =
-          Journal.open_append ~faults ~fsync:Journal.Always (coord_file root)
+  let durability = durability_of config in
+  Option.iter (fun d -> ensure_dir d.Session.dir) durability;
+  let shard_cfg =
+    Option.map
+      (fun d i -> { d with Session.dir = shard_dir ~shards d.Session.dir i })
+      durability
+  in
+  let shard_arr =
+    Array.init shards (fun i ->
+        let config =
+          {
+            config with
+            Session.Config.durability = Option.map (fun f -> f i) shard_cfg;
+          }
         in
-        (* A fresh engine must not inherit in-flight ops: the shard
-           directories were just seeded empty, so any leftover records
-           are from an aborted directory reuse. *)
-        if ops <> [] then Journal.reset journal;
-        Some (make_coord journal)
-    in
-    let shard_cfg =
-      match (durability_of config, root) with
-      | Some d, Some root ->
-        Some (fun i -> { d with Session.dir = shard_dir root i })
-      | _ -> None
-    in
-    finish ?supervisor ?degraded_reads
-      ~dedup_cap:config.Session.Config.dedup_cap ~shard_cfg ~faults
-      ~shards:shard_arr ~router:(Router.create partition) ~coord general
-  end
+        Shard.create ~faults ~id:i (build_session ~config source))
+  in
+  let coord =
+    Option.bind durability (fun d ->
+        Option.map
+          (fun (journal, ops) ->
+            (* A fresh engine must not inherit in-flight ops: the shard
+               directories were just seeded empty, so any leftover
+               records are from an aborted directory reuse. *)
+            if ops <> [] then Journal.reset journal;
+            make_coord journal)
+          (open_coord ~shards ~faults d.Session.dir))
+  in
+  finish ?supervisor ?degraded_reads
+    ~dedup_cap:config.Session.Config.dedup_cap ~shard_cfg ~faults
+    ~shards:shard_arr ~router:(Router.create partition) ~coord general
 
 let of_session session =
   let general = Session.general session in
@@ -221,11 +206,11 @@ let of_session session =
 
 let ( let* ) = Result.bind
 
-let sharded_layout root = Sys.file_exists (shard_dir root 0)
-
+(* The inverse of [shard_dir]: a root without shard directories holds
+   one flat shard. *)
 let detect_shards root =
-  let rec go i = if Sys.file_exists (shard_dir root i) then go (i + 1) else i in
-  go 0
+  let rec go i = if Sys.file_exists (sharded_dir root i) then go (i + 1) else i in
+  max 1 (go 0)
 
 let rebuild_router partition shards =
   let router = Router.create partition in
@@ -269,98 +254,87 @@ let batch_op_of_journal xid = function
   | Journal.Cross_prepare _ | Journal.Cross_done _ ->
     Error "coordinator journal: nested cross record"
 
+(* Replay in-flight cross-shard ops in journal order.  The home shard's
+   dedup table is keyed by xid, so an op it already applied answers
+   ["dedup": true] instead of applying twice.  Every surviving prepare
+   is then retired: compact so the next boot replays nothing. *)
+let replay_prepares coord ~shards ~router ops =
+  let n_shards = Array.length shards in
+  let* () =
+    List.fold_left
+      (fun acc (xid, home, op) ->
+        let* () = acc in
+        if home < 0 || home >= n_shards then
+          Error (Printf.sprintf "coordinator journal: prepare %s targets shard %d of %d" xid home n_shards)
+        else begin
+          let* bop = batch_op_of_journal xid op in
+          let reply = Shard.submit shards.(home) bop in
+          (match (bop, reply) with
+          | Session.Batch_arrive { id; _ }, Ok _ ->
+            Router.assign router ~flow_id:id ~shard:home
+          | Session.Batch_depart { flow_id; _ }, Ok _ ->
+            Router.release router ~flow_id
+          | Session.Batch_rebalance _, Ok _ -> ()
+          | _, Error _ -> ());
+          Journal.append coord.journal (Journal.Cross_done { xid });
+          coord.replayed <- coord.replayed + 1;
+          Ok ()
+        end)
+      (Ok ()) (inflight_prepares ops)
+  in
+  Journal.reset coord.journal;
+  Ok ()
+
 let recover ?supervisor ?degraded_reads ?(dedup_cap = Session.default_dedup_cap)
     (cfg : Session.durability) =
   let root = cfg.Session.dir in
   let faults = cfg.Session.faults in
-  if not (sharded_layout root) then begin
-    (* Flat pre-shard layout: one session in the root. *)
-    let* session = Session.recover ~dedup_cap cfg in
-    let general = Session.general session in
-    let n = Tdmd_graph.Digraph.vertex_count general.Tdmd.Instance.graph in
-    Ok
-      (finish ?supervisor ?degraded_reads ~dedup_cap
-         ~shard_cfg:(Some (fun _ -> cfg))
-         ~faults
-         ~shards:[| Shard.create ~faults ~id:0 session |]
-         ~router:(Router.create (Partition.trivial ~n))
-         ~coord:None general)
-  end
-  else begin
-    let n_shards = detect_shards root in
-    let* sessions =
-      Array.fold_left
-        (fun acc i ->
-          let* acc = acc in
-          let* s =
-            Result.map_error
-              (Printf.sprintf "shard %d: %s" i)
-              (Session.recover ~dedup_cap { cfg with Session.dir = shard_dir root i })
-          in
-          Ok (s :: acc))
-        (Ok [])
-        (Array.init n_shards (fun i -> i))
-    in
-    let sessions = Array.of_list (List.rev sessions) in
-    let shards = Array.mapi (fun i s -> Shard.create ~faults ~id:i s) sessions in
-    let general = Session.general sessions.(0) in
-    (* The partition is a deterministic function of the recovered graph,
-       so it is the partition the engine was created with. *)
-    let partition = Partition.make general.Tdmd.Instance.graph ~shards:n_shards in
-    let router = rebuild_router partition shards in
-    let* journal, ops =
-      match
-        Journal.open_append ~faults ~fsync:Journal.Always (coord_file root)
-      with
-      | r -> Ok r
-      | exception Sys_error msg -> Error msg
-    in
-    let coord = make_coord journal in
-    let engine =
-      finish ?supervisor ?degraded_reads ~dedup_cap
-        ~shard_cfg:(Some (fun i -> { cfg with Session.dir = shard_dir root i }))
-        ~faults ~shards ~router ~coord:(Some coord) general
-    in
-    (* Replay in-flight cross-shard ops in journal order.  The home
-       shard's dedup table is keyed by xid, so an op it already applied
-       answers ["dedup": true] instead of applying twice. *)
-    let* () =
-      List.fold_left
-        (fun acc (xid, home, op) ->
-          let* () = acc in
-          if home < 0 || home >= n_shards then
-            Error (Printf.sprintf "coordinator journal: prepare %s targets shard %d of %d" xid home n_shards)
-          else begin
-            let* bop = batch_op_of_journal xid op in
-            let reply = Shard.submit shards.(home) bop in
-            (match (bop, reply) with
-            | Session.Batch_arrive { id; _ }, Ok _ ->
-              Router.assign router ~flow_id:id ~shard:home
-            | Session.Batch_depart { flow_id; _ }, Ok _ ->
-              Router.release router ~flow_id
-            | Session.Batch_rebalance _, Ok _ -> ()
-            | _, Error _ -> ());
-            Journal.append journal (Journal.Cross_done { xid });
-            coord.replayed <- coord.replayed + 1;
-            Ok ()
-          end)
-        (Ok ()) (inflight_prepares ops)
-    in
-    (* Every surviving prepare is retired: compact so the next boot
-       replays nothing. *)
-    Journal.reset journal;
-    Ok engine
-  end
+  let n_shards = detect_shards root in
+  let shard_cfg i = { cfg with Session.dir = shard_dir ~shards:n_shards root i } in
+  let* sessions =
+    Array.fold_left
+      (fun acc i ->
+        let* acc = acc in
+        let* s =
+          Result.map_error
+            (Printf.sprintf "shard %d: %s" i)
+            (Session.recover ~dedup_cap (shard_cfg i))
+        in
+        Ok (s :: acc))
+      (Ok [])
+      (Array.init n_shards (fun i -> i))
+  in
+  let sessions = Array.of_list (List.rev sessions) in
+  let shards = Array.mapi (fun i s -> Shard.create ~faults ~id:i s) sessions in
+  let general = Session.general sessions.(0) in
+  (* The partition is a deterministic function of the recovered graph,
+     so it is the partition the engine was created with. *)
+  let partition = Partition.make general.Tdmd.Instance.graph ~shards:n_shards in
+  let router = rebuild_router partition shards in
+  let* coord =
+    match open_coord ~shards:n_shards ~faults root with
+    | opened ->
+      Ok (Option.map (fun (journal, ops) -> (make_coord journal, ops)) opened)
+    | exception Sys_error msg -> Error msg
+  in
+  let engine =
+    finish ?supervisor ?degraded_reads ~dedup_cap ~shard_cfg:(Some shard_cfg)
+      ~faults ~shards ~router ~coord:(Option.map fst coord) general
+  in
+  let* () =
+    match coord with
+    | None -> Ok ()
+    | Some (coord, ops) -> replay_prepares coord ~shards ~router ops
+  in
+  Ok engine
 
 (* ------------------------------------------------------------------ *)
 (* Churn                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let tag_shard t ~shard ~cross reply =
-  if Array.length t.shards = 1 then reply
+  if flat (shard_count t) then reply
   else
-    (* Routing detail is appended only in sharded mode, so [--shards 1]
-       replies stay byte-identical to the pre-shard engine. *)
     match reply with
     | Ok (Json.Obj fields) ->
       Ok
@@ -539,87 +513,67 @@ let tag_degraded = function
     Ok (Json.Obj (fields @ [ ("degraded", Json.Bool true) ]))
   | (Ok _ | Error _) as r -> r
 
+(* A live read over the union of every shard's flows. *)
+let live_read t answer =
+  match read_status t with
+  | Read_unavailable msg -> Error ("unavailable", msg)
+  | (Read_ok | Read_degraded) as st ->
+    let reply =
+      match combined_live_instance t with
+      | inst -> answer inst
+      | exception Invalid_argument msg -> Error ("internal", msg)
+    in
+    if st = Read_degraded then tag_degraded reply else reply
+
+(* Static solves go through shard 0's session, which carries the same
+   static instance (and tree view) every shard does. *)
 let solve t ~algo ~k ~seed ~target =
-  match (target, Array.length t.shards) with
-  | Protocol.Static, _ ->
-    (* Shard 0's session carries the same static instance (and tree
-       view) every shard does; with one shard this IS the pre-shard
-       path, bit for bit. *)
+  match target with
+  | Protocol.Static ->
     Session.solve (Shard.session t.shards.(0)) ~algo ~k ~seed ~target
-  | Protocol.Live, n -> (
-    match read_status t with
-    | Read_unavailable msg -> Error ("unavailable", msg)
-    | (Read_ok | Read_degraded) as st ->
-      let reply =
-        if n = 1 then
-          Session.solve (Shard.session t.shards.(0)) ~algo ~k ~seed ~target
-        else begin
-          match combined_live_instance t with
-          | inst -> Session.solve_on_instance ~algo ~k ~seed ~target inst
-          | exception Invalid_argument msg -> Error ("internal", msg)
-        end
-      in
-      if st = Read_degraded then tag_degraded reply else reply)
+  | Protocol.Live -> live_read t (Session.solve_on_instance ~algo ~k ~seed ~target)
 
 let solve_anytime t ~algo ~k ~seed ~target ~budget_ms =
-  match (target, Array.length t.shards) with
-  | Protocol.Static, _ ->
+  match target with
+  | Protocol.Static ->
     Session.solve_anytime
       (Shard.session t.shards.(0))
       ~algo ~k ~seed ~target ~budget_ms
-  | Protocol.Live, n -> (
-    match read_status t with
-    | Read_unavailable msg -> Error ("unavailable", msg)
-    | (Read_ok | Read_degraded) as st ->
-      let reply =
-        if n = 1 then
-          Session.solve_anytime
-            (Shard.session t.shards.(0))
-            ~algo ~k ~seed ~target ~budget_ms
-        else begin
-          match combined_live_instance t with
-          | inst ->
-            Session.solve_anytime_on_instance ~algo ~k ~seed ~target ~budget_ms
-              inst
-          | exception Invalid_argument msg -> Error ("internal", msg)
-        end
-      in
-      if st = Read_degraded then tag_degraded reply else reply)
+  | Protocol.Live ->
+    live_read t (fun inst ->
+        Session.solve_anytime_on_instance ~algo ~k ~seed ~target ~budget_ms inst)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let single t = Shard.session t.shards.(0)
-
+(* Sums, union and conjunction over the shards; at one shard these are
+   the session's own fields in its own order. *)
 let churn_stats t =
-  if Array.length t.shards = 1 then Session.churn_stats (single t)
-  else begin
-    let summaries =
-      Array.map (fun sh -> Session.churn_summary (Shard.session sh)) t.shards
-    in
-    let sum f = Array.fold_left (fun acc s -> acc + f s) 0 summaries in
-    let sumf f = Array.fold_left (fun acc s -> acc +. f s) 0.0 summaries in
-    let placement =
-      Array.fold_left
-        (fun acc s -> Tdmd.Placement.union acc s.Session.placement)
-        Tdmd.Placement.empty summaries
-    in
-    [
-      ("flows", Json.Int (sum (fun s -> s.Session.live_flows)));
-      ( "placement",
-        Json.List
-          (List.map (fun v -> Json.Int v) (Tdmd.Placement.to_list placement)) );
-      ("bandwidth", Json.Float (sumf (fun s -> s.Session.bandwidth)));
-      ( "feasible",
-        Json.Bool (Array.for_all (fun s -> s.Session.feasible) summaries) );
-      ("moves", Json.Int (sum (fun s -> s.Session.moves)));
-      ("arrivals", Json.Int (sum (fun s -> s.Session.arrivals)));
-      ("departures", Json.Int (sum (fun s -> s.Session.departures)));
-      ("rebalances", Json.Int (sum (fun s -> s.Session.rebalances)));
-      ("rebalance_moves", Json.Int (sum (fun s -> s.Session.rebalance_moves)));
-    ]
-  end
+  let summaries =
+    Array.map (fun sh -> Session.churn_summary (Shard.session sh)) t.shards
+  in
+  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 summaries in
+  let sumf f = Array.fold_left (fun acc s -> acc +. f s) 0.0 summaries in
+  let placement =
+    Array.fold_left
+      (fun acc s -> Tdmd.Placement.union acc s.Session.placement)
+      Tdmd.Placement.empty summaries
+  in
+  [
+    ("flows", Json.Int (sum (fun s -> s.Session.live_flows)));
+    ( "placement",
+      Json.List
+        (List.map (fun v -> Json.Int v) (Tdmd.Placement.to_list placement)) );
+    ("bandwidth", Json.Float (sumf (fun s -> s.Session.bandwidth)));
+    ( "feasible",
+      Json.Bool (Array.for_all (fun s -> s.Session.feasible) summaries) );
+    ("moves", Json.Int (sum (fun s -> s.Session.moves)));
+    ("arrivals", Json.Int (sum (fun s -> s.Session.arrivals)));
+    ("departures", Json.Int (sum (fun s -> s.Session.departures)));
+    ("rebalances", Json.Int (sum (fun s -> s.Session.rebalances)));
+    ("rebalance_moves", Json.Int (sum (fun s -> s.Session.rebalance_moves)));
+  ]
 
 (* Rebalance fans out to every shard: each shard's placement is
    independent, so each spends its own budget on its own local search.
@@ -627,9 +581,7 @@ let churn_stats t =
    a retry is suppressed on exactly the shards that already applied it
    and runs on any shard that had not. *)
 let rebalance t ?req ?budget () =
-  if Array.length t.shards = 1 then
-    guarded_submit t 0 (Session.Batch_rebalance { req; budget })
-  else if not (Supervisor.all_serving t.sup) then
+  if not (Supervisor.all_serving t.sup) then
     (* A partial rebalance (some shards re-placed, one skipped) would
        leave the fleet optimizing against two different placements;
        require the whole fleet up and let the client retry. *)
@@ -642,6 +594,8 @@ let rebalance t ?req ?budget () =
     in
     match Array.find_opt Result.is_error replies with
     | Some (Error _ as e) -> e
+    (* One shard's reply is the fleet's answer, dedup shape included. *)
+    | Some (Ok _) | None when flat (shard_count t) -> replies.(0)
     | Some (Ok _) | None ->
       let field name json =
         match json with
@@ -747,7 +701,8 @@ let health_fields t =
 
 let stats_fields t =
   let base =
-    if Array.length t.shards = 1 then Session.durability_stats (single t)
+    if flat (shard_count t) then
+      Session.durability_stats (Shard.session t.shards.(0))
     else
       ("shards", Json.List (shard_stats_json t))
       ::
@@ -756,8 +711,6 @@ let stats_fields t =
       | None -> [])
   in
   base @ [ ("health", Json.Obj (health_fields t)) ]
-
-let durability_telemetry t = Session.durability_telemetry (single t)
 
 let close t =
   (* Join every recovery thread first so a mid-restart shard swap cannot
