@@ -19,10 +19,15 @@
       the placement near-optimal as churn drifts it.
 
     All decisions compare exact integer diminished-volume marginals
-    (the {!Inc_oracle} convention), and the flow store is an
-    arrival-ordered tombstone list with an id index, so events are
-    amortised O(path + flows-through-touched-vertices) — no per-event
-    instance rebuild and no float thresholds.
+    (the {!Inc_oracle} convention, no float thresholds), and the flow
+    store is an arrival-ordered tombstone list with an id index.  An
+    event that leaves the deployment feasible costs amortised
+    O(path + flows-through-touched-vertices).  An {!arrive} or
+    {!depart} that leaves it infeasible rebuilds and re-validates an
+    {!Instance.t} of every live flow for {!Cover_fixup.within}, and
+    {!bandwidth} does the same on every call, then rescans it through
+    {!Bandwidth.total}: both cost O(total path length of the live
+    flows).
 
     Every deployed/removed box counts as one *move* — the
     quality-vs-churn trade against from-scratch GTP is an ablation
@@ -76,6 +81,9 @@ val flow_count : t -> int
 
 val placement : t -> Placement.t
 val bandwidth : t -> float
+(** Rebuilds {!instance} and evaluates it: O(total path length of the
+    live flows) per call. *)
+
 val feasible : t -> bool
 val moves : t -> int
 (** Total placement changes so far (adds + removals). *)

@@ -2,8 +2,7 @@
 
     The ordering is supplied at creation time; [pop] returns the minimum
     element under that ordering.  Used by HAT (Alg. 2's min-heap of merge
-    penalties) and as the reference implementation the property tests
-    cross-check the pairing heap against. *)
+    penalties). *)
 
 type 'a t
 

@@ -1,6 +1,6 @@
 (* Extension modules: the binary-tree DP transcription (Eqs. 7-8),
-   local search, bounds, incremental maintenance, plus the Euler-tour
-   LCA and the auxiliary traffic machinery. *)
+   local search, bounds, incremental maintenance, plus binary-lifting
+   LCA on random trees and temporal workloads. *)
 
 open Tdmd_prelude
 module P = Tdmd.Placement
@@ -260,84 +260,24 @@ let test_incremental_quality_vs_scratch () =
     true (!worst_ratio <= 2.0)
 
 (* ------------------------------------------------------------------ *)
-(* Euler-tour LCA and tree printing                                    *)
+(* LCA on random attachment trees and temporal workloads               *)
 (* ------------------------------------------------------------------ *)
 
-let prop_euler_lca_matches =
-  QCheck.Test.make ~name:"euler-tour LCA = binary lifting = naive" ~count:60
+let prop_lift_lca_matches =
+  QCheck.Test.make ~name:"binary-lifting LCA = naive on attachment trees"
+    ~count:60
     QCheck.(pair (int_range 2 60) (int_bound 100000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let tree = Tdmd_topo.Topo_tree.random_attachment rng n in
       let lift = Tdmd_tree.Lca.build tree in
-      let euler = Tdmd_tree.Euler_lca.build tree in
       let ok = ref true in
       for _ = 1 to 40 do
         let u = Rng.int rng n and v = Rng.int rng n in
-        let a = Tdmd_tree.Lca.query lift u v in
-        let b = Tdmd_tree.Euler_lca.query euler u v in
-        let c = Tdmd_tree.Lca.naive tree u v in
-        if a <> b || b <> c then ok := false
+        if Tdmd_tree.Lca.query lift u v <> Tdmd_tree.Lca.naive tree u v then
+          ok := false
       done;
       !ok)
-
-let test_tree_print () =
-  let tree = Fixtures.fig5_tree () in
-  let s = Tdmd_tree.Tree_print.render tree in
-  let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
-  Alcotest.(check int) "one line per vertex" 8 (List.length lines);
-  Alcotest.(check string) "root first" "0" (List.hd lines);
-  let labelled =
-    Tdmd_tree.Tree_print.render ~label:(fun v -> Printf.sprintf "v%d" (v + 1)) tree
-  in
-  Alcotest.(check bool) "labels used" true
-    (String.split_on_char '\n' labelled |> List.exists (fun l -> l = "v1"))
-
-(* ------------------------------------------------------------------ *)
-(* Traffic extras: trace codec and temporal workloads                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_trace_roundtrip () =
-  let flows =
-    [
-      Flow.make ~id:0 ~rate:4 ~path:[ 4; 2; 0 ];
-      Flow.make ~id:1 ~rate:2 ~path:[ 5; 2; 1 ];
-      Flow.make ~id:7 ~rate:1 ~path:[ 3 ];
-    ]
-  in
-  match Tdmd_traffic.Trace.of_csv (Tdmd_traffic.Trace.to_csv flows) with
-  | Error e -> Alcotest.fail e
-  | Ok parsed ->
-    Alcotest.(check int) "count" 3 (List.length parsed);
-    List.iter2
-      (fun a b ->
-        Alcotest.(check int) "id" a.Flow.id b.Flow.id;
-        Alcotest.(check int) "rate" a.Flow.rate b.Flow.rate;
-        Alcotest.(check (array int)) "path" a.Flow.path b.Flow.path)
-      flows parsed
-
-let test_trace_errors () =
-  (match Tdmd_traffic.Trace.of_csv "nope\n1,2,3" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad header accepted");
-  (match Tdmd_traffic.Trace.of_csv "id,rate,path\n1,x,0-1" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad rate accepted");
-  match Tdmd_traffic.Trace.of_csv "id,rate,path\n1,0,0-1" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "zero rate accepted"
-
-let test_trace_file_roundtrip () =
-  let flows = [ Flow.make ~id:3 ~rate:9 ~path:[ 1; 0 ] ] in
-  let path = Filename.temp_file "tdmd_trace" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Tdmd_traffic.Trace.save path flows;
-      match Tdmd_traffic.Trace.load path with
-      | Ok [ f ] -> Alcotest.(check int) "rate" 9 f.Flow.rate
-      | Ok _ -> Alcotest.fail "wrong count"
-      | Error e -> Alcotest.fail e)
 
 let test_temporal () =
   let rng = Rng.create 5 in
@@ -393,10 +333,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_incremental_stays_feasible;
     Alcotest.test_case "incremental: quality vs scratch GTP" `Quick
       test_incremental_quality_vs_scratch;
-    QCheck_alcotest.to_alcotest prop_euler_lca_matches;
-    Alcotest.test_case "tree printing" `Quick test_tree_print;
-    Alcotest.test_case "trace: csv roundtrip" `Quick test_trace_roundtrip;
-    Alcotest.test_case "trace: error handling" `Quick test_trace_errors;
-    Alcotest.test_case "trace: file roundtrip" `Quick test_trace_file_roundtrip;
+    QCheck_alcotest.to_alcotest prop_lift_lca_matches;
     Alcotest.test_case "temporal workload" `Quick test_temporal;
   ]

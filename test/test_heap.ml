@@ -69,27 +69,14 @@ let test_indexed_heap_rejects () =
     (Invalid_argument "Indexed_heap.decrease: larger priority") (fun () ->
       Indexed_heap.decrease h 0 5.0)
 
-let test_pairing_heap_basic () =
-  let h = Pairing_heap.of_list ~cmp:icmp [ 4; 1; 3 ] in
-  Alcotest.(check (list int)) "sorted" [ 1; 3; 4 ] (Pairing_heap.to_sorted_list h);
-  let h2 =
-    Pairing_heap.merge
-      (Pairing_heap.of_list ~cmp:icmp [ 5; 2 ])
-      (Pairing_heap.of_list ~cmp:icmp [ 4; 1 ])
-  in
-  Alcotest.(check (list int)) "merged" [ 1; 2; 4; 5 ] (Pairing_heap.to_sorted_list h2);
-  Alcotest.(check int) "length persists" 4 (Pairing_heap.length h2)
-
-(* Property: both heaps drain any integer multiset in sorted order. *)
-let prop_heaps_sort =
-  QCheck.Test.make ~name:"binary & pairing heaps sort like List.sort" ~count:200
+(* Property: the binary heap drains any integer multiset in sorted
+   order. *)
+let prop_binary_heap_sorts =
+  QCheck.Test.make ~name:"binary heap sorts like List.sort" ~count:200
     QCheck.(list small_int)
     (fun xs ->
-      let expected = List.sort compare xs in
       let bh = Tdmd_heap.Binary_heap.of_list ~cmp:icmp xs in
-      let ph = Tdmd_heap.Pairing_heap.of_list ~cmp:icmp xs in
-      Tdmd_heap.Binary_heap.to_sorted_list bh = expected
-      && Tdmd_heap.Pairing_heap.to_sorted_list ph = expected)
+      Tdmd_heap.Binary_heap.to_sorted_list bh = List.sort compare xs)
 
 (* Property: the binary heap is sound for boxed floats — the former
    [Obj.magic 0] dummy slot relied on every element sharing the dummy's
@@ -161,8 +148,7 @@ let suite =
     Alcotest.test_case "indexed heap: update both ways" `Quick
       test_indexed_heap_update;
     Alcotest.test_case "indexed heap: error cases" `Quick test_indexed_heap_rejects;
-    Alcotest.test_case "pairing heap: basics + merge" `Quick test_pairing_heap_basic;
-    QCheck_alcotest.to_alcotest prop_heaps_sort;
+    QCheck_alcotest.to_alcotest prop_binary_heap_sorts;
     QCheck_alcotest.to_alcotest prop_binary_heap_boxed_floats;
     QCheck_alcotest.to_alcotest prop_binary_heap_tuples;
     QCheck_alcotest.to_alcotest prop_indexed_heap;

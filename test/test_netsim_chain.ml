@@ -1,6 +1,5 @@
 (* The fluid link simulator (cross-validating Eq. 1 end to end), the
-   service-chain extension, the SVG renderer, and the gravity-model
-   workload. *)
+   SVG renderer, and the gravity-model workload. *)
 
 open Tdmd_prelude
 module P = Tdmd.Placement
@@ -69,128 +68,6 @@ let prop_netsim_matches_analytic =
       Float.abs (r.Ns.total_bandwidth -. Tdmd.Bandwidth.total inst p) < 1e-6)
 
 (* ------------------------------------------------------------------ *)
-(* Chain                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_chain_spec () =
-  Alcotest.check_raises "empty" (Invalid_argument "Chain.make_spec: empty chain")
-    (fun () -> ignore (Tdmd.Chain.make_spec []));
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Chain.make_spec: negative ratio") (fun () ->
-      ignore (Tdmd.Chain.make_spec [ 0.5; -1.0 ]))
-
-let test_chain_single_type_matches_tdmd () =
-  (* A one-type chain is exactly the TDMD model. *)
-  let inst = Fixtures.fig1_instance () in
-  let spec = Tdmd.Chain.make_spec [ 0.5 ] in
-  let deployment = [ (Fixtures.v5, 0); (Fixtures.v2, 0) ] in
-  let _, bw = Tdmd.Chain.allocate spec inst deployment in
-  Alcotest.(check (float 1e-9)) "fig1 two boxes" 12.0 bw;
-  Alcotest.(check bool) "feasible" true (Tdmd.Chain.feasible spec inst deployment);
-  Alcotest.(check bool) "infeasible without cover" false
-    (Tdmd.Chain.feasible spec inst [ (Fixtures.v5, 0) ])
-
-let test_chain_order_enforced () =
-  (* Two types; type 1's instance before type 0's on the path is
-     useless. *)
-  let g = Tdmd_graph.Digraph.create 4 in
-  List.iter (fun (a, b) -> Tdmd_graph.Digraph.add_undirected g a b)
-    [ (3, 2); (2, 1); (1, 0) ];
-  let f = Flow.make ~id:0 ~rate:2 ~path:[ 3; 2; 1; 0 ] in
-  let inst = Tdmd.Instance.make ~graph:g ~flows:[ f ] ~lambda:0.5 in
-  let spec = Tdmd.Chain.make_spec [ 0.5; 0.5 ] in
-  (* t1 at v3 (source) cannot fire before t0 at v1. *)
-  let services, _ = Tdmd.Chain.allocate spec inst [ (3, 1); (1, 0) ] in
-  (match services with
-  | [ s ] ->
-    Alcotest.(check bool) "incomplete" false s.Tdmd.Chain.complete;
-    Alcotest.(check (list (pair int int))) "only stage 0 fired" [ (0, 1) ]
-      s.Tdmd.Chain.stages
-  | _ -> Alcotest.fail "one flow expected");
-  (* Correct order completes, both stages co-located allowed too. *)
-  let services, bw = Tdmd.Chain.allocate spec inst [ (3, 0); (3, 1) ] in
-  (match services with
-  | [ s ] ->
-    Alcotest.(check bool) "complete" true s.Tdmd.Chain.complete;
-    (* Both at source: all 3 edges at rate 2*0.25 = 0.5. *)
-    Alcotest.(check (float 1e-9)) "quartered" 1.5 s.Tdmd.Chain.consumption
-  | _ -> Alcotest.fail "one flow expected");
-  Alcotest.(check (float 1e-9)) "total" 1.5 bw
-
-let brute_single_flow spec ~rate ~hops =
-  (* Enumerate all non-decreasing position tuples. *)
-  let m = Array.length spec.Tdmd.Chain.ratios in
-  let best = ref infinity in
-  let rec go i lo acc =
-    if i = m then begin
-      (* Evaluate: edge e in [0, hops): rate * prod of ratios of stages
-         placed at positions <= e. *)
-      let positions = List.rev acc in
-      let cost = ref 0.0 in
-      for e = 0 to hops - 1 do
-        let stages_before =
-          List.length (List.filter (fun q -> q <= e) positions)
-        in
-        let ratio = ref 1.0 in
-        for j = 0 to stages_before - 1 do
-          ratio := !ratio *. spec.Tdmd.Chain.ratios.(j)
-        done;
-        cost := !cost +. (float_of_int rate *. !ratio)
-      done;
-      if !cost < !best then best := !cost
-    end
-    else
-      for q = lo to hops do
-        go (i + 1) q (q :: acc)
-      done
-  in
-  go 0 0 [];
-  !best
-
-let prop_chain_single_flow_optimal =
-  QCheck.Test.make ~name:"single-flow chain DP = brute-force enumeration"
-    ~count:100
-    QCheck.(triple (int_bound 100000) (int_range 1 4) (int_range 1 8))
-    (fun (seed, m, hops) ->
-      let rng = Rng.create seed in
-      let ratios = List.init m (fun _ -> Rng.float rng 2.0) in
-      let spec = Tdmd.Chain.make_spec ratios in
-      let rate = Rng.int_in rng 1 9 in
-      let positions, value = Tdmd.Chain.single_flow spec ~rate ~hops in
-      let rec non_decreasing = function
-        | a :: (b :: _ as rest) -> a <= b && non_decreasing rest
-        | _ -> true
-      in
-      List.length positions = m
-      && non_decreasing positions
-      && Float.abs (value -. brute_single_flow spec ~rate ~hops) < 1e-9)
-
-let test_chain_single_flow_positions () =
-  (* Diminishing chain: every stage belongs at the source. *)
-  let spec = Tdmd.Chain.make_spec [ 0.5; 0.8 ] in
-  let positions, value = Tdmd.Chain.single_flow spec ~rate:10 ~hops:3 in
-  Alcotest.(check (list int)) "all at source" [ 0; 0 ] positions;
-  Alcotest.(check (float 1e-9)) "value" 12.0 value;
-  (* Inflating chain: stages belong at the destination. *)
-  let spec = Tdmd.Chain.make_spec [ 2.0 ] in
-  let positions, value = Tdmd.Chain.single_flow spec ~rate:1 ~hops:4 in
-  Alcotest.(check (list int)) "at destination" [ 4 ] positions;
-  Alcotest.(check (float 1e-9)) "uninflated" 4.0 value
-
-let test_chain_greedy () =
-  let inst = Fixtures.fig1_instance () in
-  let spec = Tdmd.Chain.make_spec [ 0.5 ] in
-  let r = Tdmd.Chain.greedy ~k:3 spec inst in
-  Alcotest.(check bool) "feasible" true r.Tdmd.Chain.feasible;
-  (* One-type chain greedy must match the TDMD optimum here. *)
-  Alcotest.(check (float 1e-9)) "matches fig1 k=3 optimum" 8.0 r.Tdmd.Chain.bandwidth;
-  (* Two-type chain: budget must cover both types. *)
-  let spec2 = Tdmd.Chain.make_spec [ 0.5; 0.0 ] in
-  let r2 = Tdmd.Chain.greedy ~k:4 spec2 inst in
-  Alcotest.(check bool) "within budget" true
-    (List.length r2.Tdmd.Chain.deployment <= 4)
-
-(* ------------------------------------------------------------------ *)
 (* SVG + gravity workload                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -257,14 +134,6 @@ let suite =
     Alcotest.test_case "netsim: utilisation + congestion" `Quick
       test_netsim_utilisation;
     QCheck_alcotest.to_alcotest prop_netsim_matches_analytic;
-    Alcotest.test_case "chain: spec validation" `Quick test_chain_spec;
-    Alcotest.test_case "chain: one type = TDMD" `Quick
-      test_chain_single_type_matches_tdmd;
-    Alcotest.test_case "chain: order enforced" `Quick test_chain_order_enforced;
-    QCheck_alcotest.to_alcotest prop_chain_single_flow_optimal;
-    Alcotest.test_case "chain: single-flow positions" `Quick
-      test_chain_single_flow_positions;
-    Alcotest.test_case "chain: greedy" `Quick test_chain_greedy;
     Alcotest.test_case "svg: general graph" `Quick test_svg_graph;
     Alcotest.test_case "svg: tree" `Quick test_svg_tree;
     Alcotest.test_case "traffic: gravity model" `Quick test_gravity_flows;

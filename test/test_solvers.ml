@@ -282,24 +282,6 @@ let prop_scaled_dp_bounded =
       sc.Tdmd.Scaled_dp.bandwidth +. 1e-6 >= dp.Tdmd.Dp.bandwidth
       && sc.Tdmd.Scaled_dp.scaled_states <= dp.Tdmd.Dp.states)
 
-let test_capacitated_unlimited_matches_plain () =
-  let inst = Fixtures.fig1_instance () in
-  (* With capacity far above the total rate the capacitated greedy can
-     reach the plain optimum-quality region. *)
-  let cap = Tdmd.Capacitated.greedy ~k:3 ~capacity:1000 inst in
-  Alcotest.(check bool) "feasible" true cap.Tdmd.Capacitated.feasible;
-  Alcotest.(check (float 1e-9)) "reaches optimum" 8.0 cap.Tdmd.Capacitated.bandwidth
-
-let test_capacitated_tight_capacity () =
-  let inst = Fixtures.fig1_instance () in
-  (* Capacity 4 forces f1 (rate 4) to its own box. *)
-  let a = Tdmd.Capacitated.allocate inst ~capacity:4 (P.of_list [ 1; 4 ]) in
-  Alcotest.(check int) "one flow unserved under tight capacity" 1
-    (List.length a.Tdmd.Capacitated.unserved);
-  let wide = Tdmd.Capacitated.allocate inst ~capacity:6 (P.of_list [ 1; 4 ]) in
-  Alcotest.(check int) "looser capacity serves all" 0
-    (List.length wide.Tdmd.Capacitated.unserved)
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_dp_optimal;
@@ -322,8 +304,4 @@ let suite =
       test_gtp_beats_best_effort_eventually;
     QCheck_alcotest.to_alcotest prop_scaled_dp_theta1_is_dp;
     QCheck_alcotest.to_alcotest prop_scaled_dp_bounded;
-    Alcotest.test_case "capacitated: unlimited = plain" `Quick
-      test_capacitated_unlimited_matches_plain;
-    Alcotest.test_case "capacitated: tight capacity" `Quick
-      test_capacitated_tight_capacity;
   ]
